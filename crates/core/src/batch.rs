@@ -27,12 +27,15 @@
 //! batch size and in every grouping — which is what makes the
 //! [`BatchScheduler`]'s coalescing safe and keeps cached answers exact.
 //!
-//! [`BatchScheduler`] is the serving front-end: a bounded MPMC queue and
-//! a worker pool that coalesces concurrent requests into micro-batches —
-//! from *any* database, up to a configurable size, holding an underfull
-//! batch open for a short flush deadline — routes questions through the
-//! answer cache first so only misses reach the engine, and implements
-//! the [`Answerer`] trait. Mixed batches are split per database by
+//! [`BatchScheduler`] is the serving front-end and implements the
+//! [`Answerer`] trait. A submission probes the answer cache on the
+//! caller's thread: a hit comes back as an already-answered [`Ticket`]
+//! and never enters the queue, so it costs its cache lookup, not a flush
+//! window. Only misses go to the bounded MPMC queue, where a worker pool
+//! coalesces them into micro-batches — from *any* database, up to a
+//! configurable size, holding an underfull batch open for a short flush
+//! deadline — computes them and fills the cache without probing again.
+//! Mixed batches are split per database by the same splitter as
 //! [`FinSql::answer_batch_mixed`], so a worker never stalls waiting for
 //! same-database traffic to accumulate.
 
@@ -182,34 +185,21 @@ impl FinSql {
         let mut out: Vec<Option<Arc<str>>> = vec![None; questions.len()];
         let mut misses: Vec<usize> = Vec::new();
         for (i, q) in questions.iter().enumerate() {
-            match cache.get(db, q.as_str(), fingerprint) {
-                Some(hit) => {
-                    if let Some(m) = metrics {
-                        m.record_cache_hit();
-                    }
-                    out[i] = Some(hit);
-                }
+            match probe_cache(cache, db, q.as_str(), fingerprint, metrics) {
+                Some(hit) => out[i] = Some(hit),
                 None => misses.push(i),
             }
         }
         if !misses.is_empty() {
-            let miss_questions: Vec<&str> =
-                misses.iter().map(|&i| questions[i].as_str()).collect();
-            let computed = self.answer_batch_with_metrics(db, &miss_questions, metrics);
+            let miss_questions: Vec<&Q> = misses.iter().map(|&i| &questions[i]).collect();
+            let computed =
+                self.answer_batch_fill(Some((cache, fingerprint)), db, &miss_questions, metrics);
             for (&i, answer) in misses.iter().zip(computed) {
-                let answer: Arc<str> = Arc::from(answer);
-                let outcome = cache.insert(db, &questions[i], fingerprint, Arc::clone(&answer));
-                if let Some(m) = metrics {
-                    m.record_cache_miss(outcome.evicted);
-                    if !outcome.admitted {
-                        m.record_admission_rejected();
-                    }
-                }
                 out[i] = Some(answer);
             }
         }
         // INVARIANT: every index is either a cache hit (filled in the
-        // first loop) or in `misses` (filled from `computed`, which has
+        // probe loop) or in `misses` (filled from `computed`, which has
         // exactly one answer per miss).
         out.into_iter().map(|a| a.expect("every slot filled")).collect()
     }
@@ -225,14 +215,44 @@ impl FinSql {
     ) -> Vec<Arc<str>> {
         match cache {
             Some(c) => self.answer_batch_cached(c, db, questions, metrics),
-            None => {
-                let borrowed: Vec<&str> = questions.iter().map(|q| q.as_str()).collect();
-                self.answer_batch_with_metrics(db, &borrowed, metrics)
-                    .into_iter()
-                    .map(Arc::from)
-                    .collect()
-            }
+            None => self.answer_batch_fill(None, db, questions, metrics),
         }
+    }
+
+    /// The fill half of cache-first answering: computes every question
+    /// in one [`FinSql::answer_batch_with_metrics`] call and, given a
+    /// cache, inserts each answer under its fingerprint — without
+    /// probing first. Each caller has already probed every question
+    /// exactly once: [`FinSql::answer_batch_cached`] per batch, the
+    /// [`BatchScheduler`] at submit.
+    fn answer_batch_fill<Q: QuestionKey>(
+        &self,
+        cache: Option<(&AnswerCache, ConfigFingerprint)>,
+        db: DbId,
+        questions: &[Q],
+        metrics: Option<&EvalMetrics>,
+    ) -> Vec<Arc<str>> {
+        // finlint: alloc — one borrowed-question table per *batch*, paid
+        // only by misses, beside the engine's own per-batch work.
+        let borrowed: Vec<&str> = questions.iter().map(|q| q.as_str()).collect();
+        let computed = self.answer_batch_with_metrics(db, &borrowed, metrics);
+        questions
+            .iter()
+            .zip(computed)
+            .map(|(q, answer)| {
+                let answer: Arc<str> = Arc::from(answer);
+                if let Some((cache, fingerprint)) = cache {
+                    let outcome = cache.insert(db, q, fingerprint, Arc::clone(&answer));
+                    if let Some(m) = metrics {
+                        m.record_cache_miss(outcome.evicted);
+                        if !outcome.admitted {
+                            m.record_admission_rejected();
+                        }
+                    }
+                }
+                answer
+            })
+            .collect()
     }
 
     /// Answers a micro-batch that may span databases. The linker, the
@@ -251,36 +271,66 @@ impl FinSql {
         requests: &[(DbId, Q)],
         metrics: Option<&EvalMetrics>,
     ) -> Vec<Arc<str>> {
-        // finlint: alloc — one slot table per *batch*, amortised over
-        // every request in it; the per-request path stays alloc-free.
-        let mut out: Vec<Option<Arc<str>>> = vec![None; requests.len()];
-        let mut dbs_spanned = 0usize;
-        for db in DbId::ALL {
-            let indices: Vec<usize> = requests
-                .iter()
-                .enumerate()
-                .filter(|(_, (d, _))| *d == db)
-                .map(|(i, _)| i)
-                .collect();
-            if indices.is_empty() {
-                continue;
-            }
-            dbs_spanned += 1;
-            let questions: Vec<&Q> = indices.iter().map(|&i| &requests[i].1).collect();
-            let answers = self.answer_batch_maybe_cached(cache, db, &questions, metrics);
-            for (&i, answer) in indices.iter().zip(answers) {
-                out[i] = Some(answer);
-            }
-        }
-        if let Some(m) = metrics {
-            if dbs_spanned > 1 {
-                m.record_mixed_batch();
-            }
-        }
-        // INVARIANT: DbId::ALL covers every possible request db, so each
-        // index lands in exactly one per-db group and is filled there.
-        out.into_iter().map(|a| a.expect("every database group answered")).collect()
+        answer_per_db(requests, metrics, |db, questions| {
+            self.answer_batch_maybe_cached(cache, db, questions, metrics)
+        })
     }
+}
+
+/// The probe half of cache-first answering: one [`AnswerCache::get`],
+/// counted as a hit in the metrics sink when it finds the answer. A miss
+/// is counted by the fill half, once the answer is computed and inserted.
+fn probe_cache(
+    cache: &AnswerCache,
+    db: DbId,
+    question: &str,
+    fingerprint: ConfigFingerprint,
+    metrics: Option<&EvalMetrics>,
+) -> Option<Arc<str>> {
+    let hit = cache.get(db, question, fingerprint)?;
+    if let Some(m) = metrics {
+        m.record_cache_hit();
+    }
+    Some(hit)
+}
+
+/// The per-database splitter behind [`FinSql::answer_batch_mixed`] and
+/// the scheduler's workers: answers each database's sub-batch (in
+/// [`DbId::ALL`] order) with `answer_group` and scatters the answers
+/// back into request order.
+fn answer_per_db<'r, Q>(
+    requests: &'r [(DbId, Q)],
+    metrics: Option<&EvalMetrics>,
+    mut answer_group: impl FnMut(DbId, &[&'r Q]) -> Vec<Arc<str>>,
+) -> Vec<Arc<str>> {
+    // finlint: alloc — one slot table per *batch*, amortised over
+    // every request in it; the per-request path stays alloc-free.
+    let mut out: Vec<Option<Arc<str>>> = vec![None; requests.len()];
+    let mut dbs_spanned = 0usize;
+    for db in DbId::ALL {
+        let indices: Vec<usize> = requests
+            .iter()
+            .enumerate()
+            .filter(|(_, (d, _))| *d == db)
+            .map(|(i, _)| i)
+            .collect();
+        if indices.is_empty() {
+            continue;
+        }
+        dbs_spanned += 1;
+        let questions: Vec<&Q> = indices.iter().map(|&i| &requests[i].1).collect();
+        for (&i, answer) in indices.iter().zip(answer_group(db, &questions)) {
+            out[i] = Some(answer);
+        }
+    }
+    if let Some(m) = metrics {
+        if dbs_spanned > 1 {
+            m.record_mixed_batch();
+        }
+    }
+    // INVARIANT: DbId::ALL covers every possible request db, so each
+    // index lands in exactly one per-db group and is filled there.
+    out.into_iter().map(|a| a.expect("every database group answered")).collect()
 }
 
 /// Knobs of the [`BatchScheduler`].
@@ -293,7 +343,10 @@ pub struct BatchConfig {
     pub flush: Duration,
     /// Worker threads draining the queue.
     pub workers: usize,
-    /// Bounded queue capacity; submissions block while the queue is full.
+    /// Bounded queue capacity for cache misses. While the queue is full,
+    /// [`BatchScheduler::submit`] blocks and [`BatchScheduler::try_submit`]
+    /// refuses with [`SubmitError::QueueFull`]; cache hits never take a
+    /// queue slot.
     pub queue_cap: usize,
 }
 
@@ -317,6 +370,11 @@ struct ResponseSlot {
 }
 
 impl ResponseSlot {
+    /// A slot that already holds its answer.
+    fn filled(answer: Arc<str>) -> Self {
+        ResponseSlot { answer: Mutex::new(Some(answer)), ready: Condvar::new() }
+    }
+
     fn put(&self, answer: Arc<str>) {
         // INVARIANT: a poisoned slot lock means a peer thread panicked
         // holding it; the slot state is unrecoverable, so propagate.
@@ -346,7 +404,9 @@ impl ResponseSlot {
 }
 
 /// Why a submission was refused. Both cases are backpressure, not
-/// failure: no request was enqueued and no answer was computed.
+/// failure: no request was enqueued and no answer was computed. Only a
+/// cache miss is ever refused — a hit is answered at submit without the
+/// queue or the worker pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
     /// The bounded queue is at capacity. The caller decides the policy:
@@ -376,23 +436,45 @@ impl std::error::Error for SubmitError {}
 /// redeem it either by blocking ([`Ticket::wait`]) or by polling
 /// ([`Ticket::try_answer`]) — the shape the non-blocking serving loop
 /// needs, where a connection driver polls tickets between socket events
-/// instead of parking a thread per request.
+/// instead of parking a thread per request. A cache hit's ticket holds
+/// its answer from the start ([`Ticket::is_cache_hit`]).
 pub struct Ticket {
-    slot: Arc<ResponseSlot>,
+    slot: TicketSlot,
+}
+
+enum TicketSlot {
+    /// Answered at submit from the answer cache; never queued.
+    Hit(ResponseSlot),
+    /// A queued miss; a worker fills the shared slot.
+    Queued(Arc<ResponseSlot>),
 }
 
 impl Ticket {
-    /// The answer, if a worker has already delivered it. Returns
-    /// `Some` exactly once; never blocks.
+    fn slot(&self) -> &ResponseSlot {
+        match &self.slot {
+            TicketSlot::Hit(slot) => slot,
+            TicketSlot::Queued(slot) => slot,
+        }
+    }
+
+    /// Whether the answer came from the cache at submit: such a ticket
+    /// never entered the queue, and its first [`Ticket::try_answer`] is
+    /// `Some`.
+    pub fn is_cache_hit(&self) -> bool {
+        matches!(self.slot, TicketSlot::Hit(_))
+    }
+
+    /// The answer, if it is ready: a cache hit always is, a miss once a
+    /// worker delivered it. Returns `Some` exactly once; never blocks.
     pub fn try_answer(&self) -> Option<Arc<str>> {
-        self.slot.try_take()
+        self.slot().try_take()
     }
 
     /// Blocks until the answer is ready. Always terminates: a submitted
     /// request is answered even during shutdown (the workers drain the
     /// queue before exiting).
     pub fn wait(self) -> Arc<str> {
-        self.slot.wait()
+        self.slot().wait()
     }
 }
 
@@ -428,6 +510,9 @@ struct Queue {
 struct Shared {
     engine: Arc<FinSql>,
     cache: Option<Arc<AnswerCache>>,
+    /// The engine's cache fingerprint, computed once: the engine cannot
+    /// change while shared (`FinSql::absorb_appends` takes `&mut`).
+    fingerprint: ConfigFingerprint,
     metrics: Option<Arc<EvalMetrics>>,
     config: BatchConfig,
     queue: Queue,
@@ -435,15 +520,17 @@ struct Shared {
 
 /// A micro-batching request scheduler in front of a [`FinSql`] engine.
 ///
-/// Requests from any thread are pushed onto one bounded queue; workers
-/// pop a request, then coalesce further requests — from *any* database —
-/// into a micro-batch, up to [`BatchConfig::max_batch`], holding an
-/// underfull batch open for at most [`BatchConfig::flush`], and answer
-/// the whole batch through [`FinSql::answer_batch_mixed`], which splits
-/// it per database inside the engine. Because batching cannot change an
-/// answer (module docs), coalescing is invisible to callers: every
-/// request gets exactly the answer a lone [`FinSql::answer`] call would
-/// have produced.
+/// Each submission first probes the answer cache (when the scheduler has
+/// one) on the submitting thread, exactly once. A hit is answered there:
+/// its [`Ticket`] already holds the answer, no queue slot is used and no
+/// worker wakes. A miss is pushed onto one bounded queue; workers pop a
+/// request, then coalesce further requests — from *any* database — into
+/// a micro-batch, up to [`BatchConfig::max_batch`], holding an underfull
+/// batch open for at most [`BatchConfig::flush`], answer it per database
+/// through the batched engine and fill the cache. Because batching
+/// cannot change an answer (module docs), coalescing is invisible to
+/// callers: every request gets exactly the answer a lone
+/// [`FinSql::answer`] call would have produced.
 ///
 /// Dropping the scheduler shuts the pool down after draining every
 /// request already queued.
@@ -453,10 +540,10 @@ pub struct BatchScheduler {
 }
 
 impl BatchScheduler {
-    /// Starts a scheduler over an engine, an optional answer cache for
-    /// cache-first routing, and an optional metrics sink the workers
-    /// record into (per-call sinks cannot cross the queue, so the sink is
-    /// fixed at construction).
+    /// Starts a scheduler over an engine, an optional answer cache probed
+    /// at submit, and an optional metrics sink the submit path and the
+    /// workers record into (per-call sinks cannot cross the queue, so the
+    /// sink is fixed at construction).
     pub fn new(
         engine: Arc<FinSql>,
         cache: Option<Arc<AnswerCache>>,
@@ -469,7 +556,15 @@ impl BatchScheduler {
             queue_cap: config.queue_cap.max(1),
             ..config
         };
-        let shared = Arc::new(Shared { engine, cache, metrics, config, queue: Queue::default() });
+        let fingerprint = engine.config_fingerprint();
+        let shared = Arc::new(Shared {
+            engine,
+            cache,
+            fingerprint,
+            metrics,
+            config,
+            queue: Queue::default(),
+        });
         let workers = (0..config.workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
@@ -479,8 +574,9 @@ impl BatchScheduler {
         BatchScheduler { shared, workers }
     }
 
-    /// Submits one question without blocking: the request is either
-    /// enqueued (returning a [`Ticket`]) or refused immediately —
+    /// Submits one question without blocking. A cache hit returns an
+    /// already-answered [`Ticket`] (even during shutdown: it needs no
+    /// worker). A miss is either enqueued or refused immediately —
     /// [`SubmitError::QueueFull`] when the bounded queue is at capacity,
     /// [`SubmitError::ShuttingDown`] after [`BatchScheduler::shutdown`]
     /// began. This is how the bounded queue exerts backpressure to the
@@ -489,12 +585,16 @@ impl BatchScheduler {
     /// driver thread.
     ///
     /// Pass an `Arc<str>` question to intern it end to end: the queue,
-    /// the cache key and the response all share that one allocation.
+    /// the cache key and the response all share that one allocation. A
+    /// `String` is converted only on a miss.
     pub fn try_submit(
         &self,
         db: DbId,
-        question: impl Into<Arc<str>>,
+        question: impl AsRef<str> + Into<Arc<str>>,
     ) -> Result<Ticket, SubmitError> {
+        if let Some(hit) = self.probe(db, question.as_ref()) {
+            return Ok(hit);
+        }
         let slot = Arc::new(ResponseSlot::default());
         {
             // INVARIANT: a poisoned queue lock means a worker panicked
@@ -514,17 +614,21 @@ impl BatchScheduler {
             });
         }
         self.shared.queue.not_empty.notify_one();
-        Ok(Ticket { slot })
+        Ok(Ticket { slot: TicketSlot::Queued(slot) })
     }
 
-    /// Submits one question, blocking while the queue is full. Fails only
-    /// with [`SubmitError::ShuttingDown`] once shutdown has begun (a
-    /// full queue blocks; it never errors here).
+    /// Submits one question; a cache hit is answered at once, as in
+    /// [`BatchScheduler::try_submit`], and a miss blocks while the queue
+    /// is full. Fails only with [`SubmitError::ShuttingDown`] once
+    /// shutdown has begun (a full queue blocks; it never errors here).
     pub fn submit(
         &self,
         db: DbId,
-        question: impl Into<Arc<str>>,
+        question: impl AsRef<str> + Into<Arc<str>>,
     ) -> Result<Ticket, SubmitError> {
+        if let Some(hit) = self.probe(db, question.as_ref()) {
+            return Ok(hit);
+        }
         let slot = Arc::new(ResponseSlot::default());
         {
             // INVARIANT: a poisoned queue lock means a worker panicked
@@ -548,7 +652,21 @@ impl BatchScheduler {
             });
         }
         self.shared.queue.not_empty.notify_one();
-        Ok(Ticket { slot })
+        Ok(Ticket { slot: TicketSlot::Queued(slot) })
+    }
+
+    /// The submit-time cache probe — the request's one
+    /// [`AnswerCache::get`]. A hit comes back as an answered [`Ticket`];
+    /// a miss (or no cache) as `None`, for the caller to enqueue.
+    fn probe(&self, db: DbId, question: &str) -> Option<Ticket> {
+        let cache = self.shared.cache.as_deref()?;
+        let metrics = self.shared.metrics.as_deref();
+        let start = Instant::now();
+        let answer = probe_cache(cache, db, question, self.shared.fingerprint, metrics)?;
+        if let Some(m) = metrics {
+            m.record_answer_latency(start.elapsed());
+        }
+        Some(Ticket { slot: TicketSlot::Hit(ResponseSlot::filled(answer)) })
     }
 
     /// Submits one question and blocks until its answer is ready. Safe to
@@ -586,13 +704,13 @@ impl BatchScheduler {
 
 impl Answerer for BatchScheduler {
     fn fingerprint(&self) -> ConfigFingerprint {
-        self.shared.engine.config_fingerprint()
+        self.shared.fingerprint
     }
 
-    /// Submits through the queue. The scheduler already routes through
-    /// its own cache (when given one) before computing, and records into
-    /// its construction-time metrics sink; the per-call `metrics`
-    /// argument cannot cross the queue and is ignored.
+    /// Submits through the scheduler, which probes its own cache (when
+    /// given one) before queueing, and records into its construction-time
+    /// metrics sink; the per-call `metrics` argument cannot cross the
+    /// queue and is ignored.
     fn answer_fresh(&self, db: DbId, question: &str, _metrics: Option<&EvalMetrics>) -> String {
         self.answer(db, question).as_ref().to_owned()
     }
@@ -606,7 +724,7 @@ impl Drop for BatchScheduler {
 
 /// One worker: pop a request, coalesce followers from any database up to
 /// the batch cap or the flush deadline, answer the mixed batch, fill the
-/// slots. On shutdown the queue is drained completely before the worker
+/// cache and the slots. On shutdown the queue is drained completely before the worker
 /// exits, so no submitted request is ever dropped.
 fn worker_loop(shared: &Shared) {
     loop {
@@ -663,17 +781,21 @@ fn worker_loop(shared: &Shared) {
             }
         }
         // Clone the interned question Arcs (refcount bumps): passing the
-        // `Arc<str>` keys through the cache-first path lets a cache fill
-        // share the submitted allocation instead of copying the bytes.
+        // `Arc<str>` keys through the fill lets a cache insert share the
+        // submitted allocation instead of copying the bytes.
         let requests: Vec<(DbId, Arc<str>)> =
             batch.iter().map(|r| (r.db, Arc::clone(&r.question))).collect();
         let metrics = shared.metrics.as_deref();
-        let answers =
-            shared.engine.answer_batch_mixed(shared.cache.as_deref(), &requests, metrics);
+        // Every queued request already missed its one probe at submit:
+        // compute and fill, never probe again.
+        let cache = shared.cache.as_deref().map(|c| (c, shared.fingerprint));
+        let answers = answer_per_db(&requests, metrics, |db, questions| {
+            shared.engine.answer_batch_fill(cache, db, questions, metrics)
+        });
         for (request, answer) in batch.iter().zip(answers) {
             if let Some(m) = metrics {
-                // Scheduler-path latency: queue wait + batching window +
-                // compute, anchored at enqueue time.
+                // Scheduler-path latency of a miss: queue wait + batching
+                // window + compute, anchored at enqueue time.
                 m.record_answer_latency(request.enqueued.elapsed());
             }
             request.slot.put(answer);

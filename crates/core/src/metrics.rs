@@ -205,7 +205,8 @@ impl EvalMetrics {
     }
 
     /// Records one end-to-end answer latency: the full pipeline time on
-    /// the per-question path, or enqueue-to-answer on the scheduler path.
+    /// the per-question path; on the scheduler path, the submit-time cache
+    /// probe for a hit and enqueue-to-answer for a miss.
     pub fn record_answer_latency(&self, elapsed: Duration) {
         self.latency.record(elapsed);
     }
@@ -312,7 +313,7 @@ pub struct MetricsSnapshot {
     /// Cache fills rejected by the TinyLFU admission filter.
     pub admission_rejected: u64,
     /// End-to-end answer latency distribution (per-question pipeline
-    /// time, or enqueue-to-answer on the scheduler path).
+    /// time, or submit-to-answer on the scheduler path).
     pub latency: HistogramSnapshot,
     /// Micro-batches answered through the batched engine.
     pub batches: u64,

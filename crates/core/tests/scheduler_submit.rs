@@ -9,10 +9,14 @@
 //!   real answers, nothing is dropped) while refusing new submissions
 //!   with [`SubmitError::ShuttingDown`] on both the blocking and the
 //!   non-blocking path.
+//! * A cache hit is answered at submit: its ticket is ready before any
+//!   worker could have run, and each request probes the cache exactly
+//!   once whether it hits or misses.
 
 use bull::{DbId, Lang};
 use finsql_core::batch::{BatchConfig, BatchScheduler, SubmitError, Ticket};
-use finsql_core::cache::AnswerCache;
+use finsql_core::cache::{AnswerCache, Answerer};
+use finsql_core::metrics::EvalMetrics;
 use finsql_core::pipeline::{FinSql, FinSqlConfig};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -151,4 +155,72 @@ fn ticket_polling_delivers_the_answer_exactly_once() {
     };
     assert_eq!(&*answer, reference(&engine, DbId::Macro, question));
     assert!(ticket.try_answer().is_none(), "an answer is delivered exactly once");
+}
+
+#[test]
+fn a_cache_hit_is_ready_at_submit() {
+    let engine = engine();
+    let cache = Arc::new(AnswerCache::unbounded());
+    let question = "which fund has the largest total net assets";
+    // Warm the cache through the batched engine, outside the scheduler.
+    engine.answer_batch_cached(&cache, DbId::Fund, &[question], None);
+    // A 10 s flush window: a hit that took the queue would sit there.
+    let scheduler = BatchScheduler::new(
+        Arc::clone(&engine),
+        Some(Arc::clone(&cache)),
+        None,
+        BatchConfig {
+            max_batch: 8,
+            flush: Duration::from_secs(10),
+            workers: 1,
+            queue_cap: 8,
+        },
+    );
+    let ticket = scheduler.try_submit(DbId::Fund, question).expect("a hit is never refused");
+    assert!(ticket.is_cache_hit());
+    let answer = ticket.try_answer().expect("a hit is answered at submit");
+    assert_eq!(*answer, engine.answer_fresh(DbId::Fund, question, None));
+    assert!(ticket.try_answer().is_none(), "an answer is delivered exactly once");
+    // The blocking path takes the same probe.
+    let ticket = scheduler.submit(DbId::Fund, question).expect("a hit is never refused");
+    assert!(ticket.is_cache_hit());
+    assert_eq!(*ticket.wait(), engine.answer_fresh(DbId::Fund, question, None));
+}
+
+#[test]
+fn every_submission_probes_the_cache_exactly_once() {
+    let engine = engine();
+    let cache = Arc::new(AnswerCache::unbounded());
+    let metrics = Arc::new(EvalMetrics::new());
+    let scheduler = BatchScheduler::new(
+        Arc::clone(&engine),
+        Some(Arc::clone(&cache)),
+        Some(Arc::clone(&metrics)),
+        BatchConfig {
+            max_batch: 4,
+            flush: Duration::from_millis(1),
+            workers: 2,
+            queue_cap: 16,
+        },
+    );
+    let q = |i: usize| format!("how many stocks are listed in sector {i}");
+    // Round one: four misses. Round two, after they filled the cache:
+    // hit, hit, miss, hit, miss.
+    let rounds: [&[usize]; 2] = [&[0, 1, 2, 3], &[0, 1, 4, 0, 5]];
+    let mut submissions = 0u64;
+    for round in rounds {
+        let tickets: Vec<(usize, Ticket)> = round
+            .iter()
+            .map(|&i| (i, scheduler.try_submit(DbId::Stock, q(i)).expect("queue of 16")))
+            .collect();
+        submissions += tickets.len() as u64;
+        for (i, ticket) in tickets {
+            assert_eq!(&*ticket.wait(), reference(&engine, DbId::Stock, &q(i)));
+        }
+    }
+    let stats = cache.stats();
+    assert_eq!(stats.hits + stats.misses, submissions, "one probe per request: {stats:?}");
+    assert_eq!((stats.hits, stats.misses), (3, 6));
+    let snap = metrics.snapshot();
+    assert_eq!((snap.cache_hits, snap.cache_misses), (3, 6));
 }

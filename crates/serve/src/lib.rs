@@ -6,7 +6,8 @@
 //!   incremental decoder tolerant of arbitrarily torn TCP reads.
 //! * [`server`] — the `finsqld` driver: a non-blocking readiness loop
 //!   over `std::net` sockets with per-request admission control, feeding
-//!   the existing [`finsql_core::batch::BatchScheduler`] unchanged, so
+//!   the existing [`finsql_core::batch::BatchScheduler`]: cache hits are
+//!   answered at submit in the same round, misses wait for a batch, and
 //!   every served answer is byte-identical to the library path.
 //! * [`client`] — a small blocking client used by the smoke/bench
 //!   harnesses and anyone scripting against a running `finsqld`.

@@ -16,15 +16,23 @@
 //! `Busy` is never a wrong answer, and the bounded MPMC queue's
 //! backpressure reaches the client instead of blocking the driver.
 //!
-//! **Byte identity.** The scheduler path is reused unchanged, so every
-//! `Ok` answer is byte-identical to the library path ([`FinSql::answer`]
-//! — the property `bench_serve` re-checks over real sockets).
+//! **Cache hits skip the batch.** [`BatchScheduler::try_submit`] probes
+//! the answer cache on the driver thread. A hit comes back already
+//! answered and its `Ok` response is queued in the same round, with no
+//! [`Pending`] entry; only misses wait for a micro-batch and are polled.
+//!
+//! **Byte identity.** Hits and misses alike are answered by the
+//! scheduler: a hit is the cached answer the batched engine computed for
+//! an earlier miss, and a miss is computed by the batched engine itself.
+//! So every `Ok` answer is byte-identical to the library path
+//! ([`FinSql::answer`] — the property `bench_serve` re-checks over real
+//! sockets).
 
 use crate::wire::{encode_response_into, Frame, FrameDecoder, Kind, Status};
 use bull::DbId;
 use finsql_core::batch::{BatchConfig, BatchScheduler, SubmitError, Ticket};
 use finsql_core::cache::AnswerCache;
-use finsql_core::metrics::{EvalMetrics, HistogramSnapshot, LatencyHistogram};
+use finsql_core::metrics::{EvalMetrics, LatencyHistogram};
 use finsql_core::pipeline::FinSql;
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -69,6 +77,8 @@ impl Default for ServeConfig {
 pub struct ServeReport {
     /// Requests answered [`Status::Ok`].
     pub served: u64,
+    /// The part of `served` answered from the cache at submit.
+    pub cache_hits: u64,
     /// Requests shed with [`Status::Busy`] (admission budget or queue
     /// full).
     pub busy_rejected: u64,
@@ -117,7 +127,27 @@ impl Conn {
     }
 }
 
-/// One admitted request awaiting its scheduler answer.
+/// The serving latency histograms, decode to response enqueue: every
+/// `Ok` answer, and the same answers split into cache hits and misses.
+#[derive(Default)]
+struct ServeLatency {
+    all: LatencyHistogram,
+    hits: LatencyHistogram,
+    misses: LatencyHistogram,
+}
+
+impl ServeLatency {
+    fn record(&self, cache_hit: bool, elapsed: Duration) {
+        self.all.record(elapsed);
+        if cache_hit {
+            self.hits.record(elapsed);
+        } else {
+            self.misses.record(elapsed);
+        }
+    }
+}
+
+/// One admitted cache miss awaiting its scheduler answer.
 struct Pending {
     conn_id: u64,
     request_id: u64,
@@ -132,7 +162,7 @@ pub struct Server {
     local_addr: SocketAddr,
     scheduler: BatchScheduler,
     config: ServeConfig,
-    latency: LatencyHistogram,
+    latency: ServeLatency,
     report: ServeReport,
 }
 
@@ -155,7 +185,7 @@ impl Server {
             local_addr,
             scheduler,
             config,
-            latency: LatencyHistogram::new(),
+            latency: ServeLatency::default(),
             report: ServeReport::default(),
         })
     }
@@ -253,6 +283,7 @@ impl Server {
                             progressed = true;
                             dispatch(
                                 frame,
+                                Instant::now(),
                                 conn_id,
                                 conn,
                                 &self.scheduler,
@@ -279,11 +310,11 @@ impl Server {
                 conns.remove(&conn_id);
             }
 
-            // 3. Poll outstanding tickets; completed answers are framed
-            // onto their connection's write buffer.
+            // 3. Poll outstanding miss tickets; completed answers are
+            // framed onto their connection's write buffer.
             pending.retain(|p| {
                 let Some(answer) = p.ticket.try_answer() else { return true };
-                self.latency.record(p.received.elapsed());
+                self.latency.record(false, p.received.elapsed());
                 self.report.served += 1;
                 progressed = true;
                 if let Some(conn) = conns.get_mut(&p.conn_id) {
@@ -354,14 +385,16 @@ impl Server {
     }
 }
 
-/// Handles one decoded frame on `conn`.
+/// Handles one decoded frame on `conn`; `received` is when it was
+/// decoded, the start of its serving latency.
 #[allow(clippy::too_many_arguments)]
 fn dispatch(
     frame: Frame,
+    received: Instant,
     conn_id: u64,
     conn: &mut Conn,
     scheduler: &BatchScheduler,
-    latency: &LatencyHistogram,
+    latency: &ServeLatency,
     report: &mut ServeReport,
     pending: &mut Vec<Pending>,
     draining: &mut bool,
@@ -393,17 +426,20 @@ fn dispatch(
                 conn.queue_response(request_id, Status::Busy, flags, "");
                 return;
             }
-            // One allocation for the whole request lifetime: queue,
-            // cache key and response all share this Arc.
-            let question: Arc<str> = Arc::from(question);
+            // A hit is probed on the decoded String and never copies it.
+            // A miss makes one `Arc<str>` of it, which the queue, the
+            // cache key and the response share.
             match scheduler.try_submit(db, question) {
-                Ok(ticket) => pending.push(Pending {
-                    conn_id,
-                    request_id,
-                    flags,
-                    ticket,
-                    received: Instant::now(),
-                }),
+                Ok(ticket) if ticket.is_cache_hit() => {
+                    // Answered at submit: respond in this round.
+                    if let Some(answer) = ticket.try_answer() {
+                        latency.record(true, received.elapsed());
+                        report.served += 1;
+                        report.cache_hits += 1;
+                        conn.queue_response(request_id, Status::Ok, flags, &answer);
+                    }
+                }
+                Ok(ticket) => pending.push(Pending { conn_id, request_id, flags, ticket, received }),
                 Err(SubmitError::QueueFull) => {
                     report.busy_rejected += 1;
                     conn.queue_response(request_id, Status::Busy, flags, "");
@@ -417,7 +453,7 @@ fn dispatch(
         Kind::Stats => {
             // STATS is an operator verb: one JSON build per explicit
             // stats request, never on the per-query serving path.
-            let json = stats_json(report, pending.len(), &latency.snapshot()); // finlint: alloc — stats verb
+            let json = stats_json(report, pending.len(), latency); // finlint: alloc — stats verb
             conn.queue(&Frame::stats_response(request_id, &json)); // finlint: alloc — stats verb
         }
         Kind::Shutdown => {
@@ -435,22 +471,33 @@ fn dispatch(
 }
 
 /// The `STATS` payload: hand-formatted JSON (the workspace has no serde
-/// registry dep), nanosecond quantiles from the serving histogram.
-pub fn stats_json(report: &ServeReport, in_flight: usize, latency: &HistogramSnapshot) -> String {
+/// registry dep), nanosecond quantiles from the serving histograms. The
+/// hit/miss split follows the `latency` object under key names of its
+/// own, so a reader that takes the first `"key":` match of an older key
+/// still reads the overall figure.
+fn stats_json(report: &ServeReport, in_flight: usize, latency: &ServeLatency) -> String {
+    let (all, hits, misses) =
+        (latency.all.snapshot(), latency.hits.snapshot(), latency.misses.snapshot());
     format!(
         "{{\"served\":{},\"busy_rejected\":{},\"bad_frames\":{},\"shutdown_rejected\":{},\
          \"connections\":{},\"in_flight\":{},\"latency\":{{\"count\":{},\"p50_ns\":{},\
-         \"p99_ns\":{},\"p999_ns\":{}}}}}",
+         \"p99_ns\":{},\"p999_ns\":{}}},\"hits\":{},\"hit_p50_ns\":{},\"hit_p99_ns\":{},\
+         \"miss_p50_ns\":{},\"miss_p99_ns\":{}}}",
         report.served,
         report.busy_rejected,
         report.bad_frames,
         report.shutdown_rejected,
         report.connections,
         in_flight,
-        latency.count(),
-        latency.p50().as_nanos(),
-        latency.p99().as_nanos(),
-        latency.p999().as_nanos(),
+        all.count(),
+        all.p50().as_nanos(),
+        all.p99().as_nanos(),
+        all.p999().as_nanos(),
+        report.cache_hits,
+        hits.p50().as_nanos(),
+        hits.p99().as_nanos(),
+        misses.p50().as_nanos(),
+        misses.p99().as_nanos(),
     )
 }
 
@@ -482,5 +529,34 @@ impl ServeHandle {
     pub fn shutdown(self) -> std::thread::Result<ServeReport> {
         self.stop();
         self.join()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stats_json_appends_the_hit_miss_split_after_latency() {
+        let report = ServeReport {
+            served: 3,
+            cache_hits: 2,
+            busy_rejected: 1,
+            bad_frames: 0,
+            shutdown_rejected: 0,
+            connections: 1,
+        };
+        let latency = ServeLatency::default();
+        // Two hits in [1024, 2047] ns, one miss in [2^21, 2^22) ns.
+        latency.record(true, Duration::from_nanos(1500));
+        latency.record(true, Duration::from_nanos(1500));
+        latency.record(false, Duration::from_millis(3));
+        assert_eq!(
+            stats_json(&report, 4, &latency),
+            "{\"served\":3,\"busy_rejected\":1,\"bad_frames\":0,\"shutdown_rejected\":0,\
+             \"connections\":1,\"in_flight\":4,\"latency\":{\"count\":3,\"p50_ns\":2047,\
+             \"p99_ns\":4194303,\"p999_ns\":4194303},\"hits\":2,\"hit_p50_ns\":2047,\
+             \"hit_p99_ns\":2047,\"miss_p50_ns\":4194303,\"miss_p99_ns\":4194303}"
+        );
     }
 }

@@ -12,7 +12,7 @@ use finsql_serve::{BlockingClient, ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One engine for every test in this file — building it trains the full
 /// pipeline, so share it instead of paying that per test.
@@ -75,6 +75,35 @@ fn served_answers_match_the_library_path_across_databases() {
     let report = handle.join().expect("server thread must exit cleanly");
     assert_eq!(report.served, 5);
     assert_eq!(report.bad_frames, 0);
+}
+
+#[test]
+fn a_repeated_question_is_answered_inside_the_flush_window() {
+    let flush = Duration::from_millis(500);
+    let handle = spawn_server(ServeConfig {
+        batch: BatchConfig { flush, ..BatchConfig::default() },
+        ..ServeConfig::default()
+    });
+    let mut client = BlockingClient::connect(handle.addr()).expect("connect");
+    let engine = engine();
+    let (db, question) = (DbId::Macro, "what was the money supply growth last year");
+    let want = reference(&engine, db, question);
+    // The first ask misses and waits out the whole flush window.
+    let (status, answer) = client.ask(db, question).expect("ask");
+    assert_eq!((status, answer.as_str()), (Status::Ok, want.as_str()));
+    // The repeat is a cache hit, answered without a batch.
+    let start = Instant::now();
+    let (status, answer) = client.ask(db, question).expect("re-ask");
+    let elapsed = start.elapsed();
+    assert_eq!((status, answer.as_str()), (Status::Ok, want.as_str()));
+    assert!(elapsed < flush / 2, "a cache hit took {elapsed:?} against a {flush:?} window");
+
+    let stats = client.stats().expect("stats");
+    assert!(stats.contains("\"served\":2,"), "unexpected stats payload: {stats}");
+    assert!(stats.contains("\"hits\":1,"), "STATS must count the hit: {stats}");
+    client.shutdown_server().expect("shutdown handshake");
+    let report = handle.join().expect("server thread must exit cleanly");
+    assert_eq!((report.served, report.cache_hits), (2, 1));
 }
 
 #[test]
