@@ -10,7 +10,7 @@ use bench::{dataset, headline_profile, HarnessOpts};
 use bull::{DbId, Lang};
 use finsql_core::batch::{BatchConfig, BatchScheduler};
 use finsql_core::cache::AnswerCache;
-use finsql_core::eval::{evaluate_ex_all_interleaved, evaluate_ex_all_interleaved_batched};
+use finsql_core::eval::evaluate_ex_all_interleaved_batched;
 use finsql_core::metrics::EvalMetrics;
 use finsql_core::pipeline::{FinSql, FinSqlConfig};
 use std::sync::Arc;
@@ -26,10 +26,21 @@ fn main() {
 
     // Per-question reference pass.
     let wall = Instant::now();
-    let unbatched = evaluate_ex_all_interleaved(&ds, Lang::En, opts.workers, Some(PER_DB), |db, q| {
-        let mut rng = system.question_rng(db, q);
-        system.answer(db, q, &mut rng)
-    });
+    let unbatched = evaluate_ex_all_interleaved_batched(
+        &ds,
+        Lang::En,
+        opts.workers,
+        Some(PER_DB),
+        1,
+        |db, qs| {
+            qs.iter()
+                .map(|q| {
+                    let mut rng = system.question_rng(db, q);
+                    system.answer(db, q, &mut rng)
+                })
+                .collect()
+        },
+    );
     let unbatched_wall = wall.elapsed();
 
     // Batched pass over the same slice.
@@ -87,10 +98,14 @@ fn main() {
     let mut passes = Vec::new();
     for pass in 0..2 {
         let wall = Instant::now();
-        let outcome =
-            evaluate_ex_all_interleaved(&ds, Lang::En, opts.workers, Some(PER_DB), |db, q| {
-                scheduler.answer(db, q)
-            });
+        let outcome = evaluate_ex_all_interleaved_batched(
+            &ds,
+            Lang::En,
+            opts.workers,
+            Some(PER_DB),
+            1,
+            |db, qs| qs.iter().map(|q| scheduler.answer(db, q)).collect(),
+        );
         let wall = wall.elapsed();
         println!(
             "scheduler pass {pass}: EX {}/{}  {:.1} questions/sec",

@@ -6,7 +6,7 @@
 use bench::{dataset, headline_profile, HarnessOpts};
 use bull::Lang;
 use finsql_core::cache::{Answerer, AnswerCache};
-use finsql_core::eval::evaluate_ex_all_interleaved;
+use finsql_core::eval::evaluate_ex_all_interleaved_batched;
 use finsql_core::metrics::EvalMetrics;
 use finsql_core::pipeline::{FinSql, FinSqlConfig};
 use std::time::Instant;
@@ -22,9 +22,16 @@ fn main() {
     for pass in 0..2 {
         let metrics = EvalMetrics::new();
         let wall = Instant::now();
-        let outcome = evaluate_ex_all_interleaved(&ds, Lang::En, opts.workers, Some(PER_DB), |db, q| {
-            system.answer_cached(&cache, db, q, Some(&metrics))
-        });
+        let outcome = evaluate_ex_all_interleaved_batched(
+            &ds,
+            Lang::En,
+            opts.workers,
+            Some(PER_DB),
+            1,
+            |db, qs| {
+                qs.iter().map(|q| system.answer_cached(&cache, db, q, Some(&metrics))).collect()
+            },
+        );
         let wall = wall.elapsed();
         let snap = metrics.snapshot();
         println!(

@@ -2,7 +2,7 @@
 
 use bench::{dataset, headline_profile};
 use bull::{DbId, Lang};
-use finsql_core::eval::evaluate_ex;
+use finsql_core::eval::evaluate_ex_limit;
 use finsql_core::pipeline::{FinSql, FinSqlConfig};
 
 fn main() {
@@ -11,7 +11,7 @@ fn main() {
         let system = FinSql::build(&ds, headline_profile(lang), FinSqlConfig::standard(lang));
         let mut pooled = (0usize, 0usize);
         for db in DbId::ALL {
-            let out = evaluate_ex(&ds, db, lang, |q| {
+            let out = evaluate_ex_limit(&ds, db, lang, None, |q| {
                 let mut rng = system.question_rng(db, q);
                 system.answer(db, q, &mut rng)
             });

@@ -8,10 +8,7 @@ pub mod traffic;
 use bull::{BullDataset, DbId, Lang, Split};
 use finsql_core::baselines::{FtBaseline, GptBaseline, GptMethod, GptModel, SharedGptBaseline};
 use finsql_core::cache::{Answerer, AnswerCache, CachePolicy};
-use finsql_core::eval::{
-    evaluate_ex_all_interleaved, evaluate_ex_all_interleaved_batched, evaluate_ex_all_limit,
-    EvalOutcome,
-};
+use finsql_core::eval::{evaluate_ex_all_interleaved_batched, evaluate_ex_all_limit, EvalOutcome};
 use finsql_core::metrics::EvalMetrics;
 use finsql_core::pipeline::{FinSql, FinSqlConfig};
 use simllm::BaseModelProfile;
@@ -147,7 +144,10 @@ pub fn answerer_ex(
     if opts.serial {
         evaluate_ex_all_limit(ds, lang, None, predict).pooled()
     } else {
-        evaluate_ex_all_interleaved(ds, lang, opts.workers, None, predict).pooled()
+        evaluate_ex_all_interleaved_batched(ds, lang, opts.workers, None, 1, |db, qs| {
+            qs.iter().map(|q| predict(db, q)).collect()
+        })
+        .pooled()
     }
 }
 

@@ -42,7 +42,7 @@ pub use cache::{
     InsertOutcome,
 };
 pub use calibrate::{calibrate, calibrate_with_stats, CalibrationConfig, CalibrationStats};
-pub use eval::{evaluate_ex, evaluate_ex_parallel, EvalOutcome, MultiDbOutcome};
+pub use eval::{EvalOutcome, MultiDbOutcome};
 pub use live::{evaluate_ex_live, LiveConfig, LiveOutcome, RoundReport};
 pub use metrics::{EvalMetrics, HistogramSnapshot, LatencyHistogram, MetricsSnapshot};
 pub use pipeline::{FinSql, FinSqlConfig};

@@ -17,6 +17,10 @@
 //!   embedding retrieves the nearest skeleton prototype, and the slot
 //!   filler instantiates it against the (schema-linked) prompt schema and
 //!   the question's literal values.
+//! - [`generator`]: retrieval, filling and decoding wired together. A
+//!   question's adapted embedding is ranked against every prototype in
+//!   one exact dot-product sweep over the contiguous
+//!   [`PrototypeMatrix`] (a plugin holds a few dozen rows).
 //! - [`noise`]: a calibrated decoder-noise model that injects exactly the
 //!   error classes of the paper's Figure 12 (typo columns, `==`, dangling
 //!   `JOIN ON`, wrong table–column binding), which is what output
@@ -32,7 +36,6 @@
 pub mod embed;
 pub mod generator;
 pub mod hub;
-pub mod index;
 pub mod lora;
 pub mod noise;
 pub mod profiles;
@@ -44,7 +47,6 @@ pub mod values;
 pub use embed::EmbeddingModel;
 pub use generator::{BatchItem, GenConfig, GenCounters, PrototypeMatrix, SqlGenerator};
 pub use hub::{LoraPlugin, PluginHub};
-pub use index::PrototypeIndex;
 pub use lora::LoraModule;
 pub use profiles::BaseModelProfile;
 pub use shape::{shape_of, AggKind, ShapeKind};

@@ -102,28 +102,6 @@ fn question_rng_differs_between_databases() {
 }
 
 #[test]
-fn parallel_eval_matches_serial_exactly() {
-    let ds = dataset();
-    let sys = system();
-    let predict = |q: &str| {
-        let mut rng = sys.question_rng(DbId::Fund, q);
-        sys.answer(DbId::Fund, q, &mut rng)
-    };
-    let serial =
-        finsql_core::eval::evaluate_ex_limit(ds, DbId::Fund, Lang::En, Some(40), predict);
-    let parallel = finsql_core::eval::evaluate_ex_parallel(
-        ds,
-        DbId::Fund,
-        Lang::En,
-        4,
-        Some(40),
-        predict,
-    );
-    assert_eq!(serial, parallel, "sharded evaluation must reproduce the serial counts exactly");
-    assert_eq!(parallel.total, 40);
-}
-
-#[test]
 fn interleaved_eval_matches_serial_per_db_at_any_worker_count() {
     let ds = dataset();
     let sys = system();
@@ -133,12 +111,13 @@ fn interleaved_eval_matches_serial_per_db_at_any_worker_count() {
     };
     let serial = finsql_core::eval::evaluate_ex_all_limit(ds, Lang::En, Some(20), predict);
     for workers in [1, 3, 8] {
-        let interleaved = finsql_core::eval::evaluate_ex_all_interleaved(
+        let interleaved = finsql_core::eval::evaluate_ex_all_interleaved_batched(
             ds,
             Lang::En,
             workers,
             Some(20),
-            predict,
+            1,
+            |db, qs| qs.iter().map(|q| predict(db, q)).collect(),
         );
         for db in DbId::ALL {
             assert_eq!(
@@ -156,24 +135,30 @@ fn cached_eval_matches_uncached_and_warm_pass_hits() {
     use finsql_core::{Answerer, AnswerCache};
     let ds = dataset();
     let sys = system();
-    let uncached = finsql_core::eval::evaluate_ex_all_interleaved(
+    let uncached = finsql_core::eval::evaluate_ex_all_interleaved_batched(
         ds,
         Lang::En,
         4,
         Some(20),
-        |db, q| {
-            let mut rng = sys.question_rng(db, q);
-            sys.answer(db, q, &mut rng)
+        1,
+        |db, qs| {
+            qs.iter()
+                .map(|q| {
+                    let mut rng = sys.question_rng(db, q);
+                    sys.answer(db, q, &mut rng)
+                })
+                .collect()
         },
     );
     let cache = AnswerCache::unbounded();
     for pass in 0..2 {
-        let cached = finsql_core::eval::evaluate_ex_all_interleaved(
+        let cached = finsql_core::eval::evaluate_ex_all_interleaved_batched(
             ds,
             Lang::En,
             4,
             Some(20),
-            |db, q| sys.answer_cached(&cache, db, q, None),
+            1,
+            |db, qs| qs.iter().map(|q| sys.answer_cached(&cache, db, q, None)).collect(),
         );
         for db in DbId::ALL {
             assert_eq!(
@@ -234,7 +219,7 @@ fn metrics_count_questions_and_candidates() {
     let sys = system();
     let metrics = finsql_core::EvalMetrics::new();
     let n = 10;
-    finsql_core::eval::evaluate_ex_parallel(ds, DbId::Fund, Lang::En, 2, Some(n), |q| {
+    finsql_core::eval::evaluate_ex_limit(ds, DbId::Fund, Lang::En, Some(n), |q| {
         let mut rng = sys.question_rng(DbId::Fund, q);
         sys.answer_with_metrics(DbId::Fund, q, &mut rng, Some(&metrics))
     });
