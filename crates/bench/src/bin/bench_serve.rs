@@ -271,7 +271,6 @@ fn main() {
     let config = ServeConfig {
         batch: BatchConfig {
             max_batch: if opts.batch > 0 { opts.batch } else { 8 },
-            flush: Duration::from_micros(200),
             workers: if opts.workers > 0 { opts.workers } else { 4 },
             queue_cap: 256,
         },

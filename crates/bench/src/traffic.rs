@@ -203,7 +203,7 @@ impl PolicyOutcome {
 /// Replays one minted schedule against one policy through the full
 /// scheduler path: `submitters` threads submit concurrently, workers
 /// coalesce micro-batches, the cache sits in front of the engine, and
-/// per-request latency (queue wait + batching window + compute) lands in
+/// per-request latency (queue wait + compute) lands in
 /// the metrics histogram. Every answer is checked against `refs`.
 pub fn run_policy(
     engine: &Arc<FinSql>,
@@ -225,7 +225,6 @@ pub fn run_policy(
             Some(Arc::clone(&metrics)),
             BatchConfig {
                 max_batch: spec.batch.max(1),
-                flush: Duration::from_micros(200),
                 workers: spec.submitters.max(1),
                 queue_cap: 256,
             },

@@ -30,11 +30,11 @@
 //! [`BatchScheduler`] is the serving front-end and implements the
 //! [`Answerer`] trait. A submission probes the answer cache on the
 //! caller's thread: a hit comes back as an already-answered [`Ticket`]
-//! and never enters the queue, so it costs its cache lookup, not a flush
-//! window. Only misses go to the bounded MPMC queue, where a worker pool
-//! coalesces them into micro-batches — from *any* database, up to a
-//! configurable size, holding an underfull batch open for a short flush
-//! deadline — computes them and fills the cache without probing again.
+//! and never enters the queue, so it costs its cache lookup, not a batch.
+//! Only misses go to the bounded MPMC queue, where a worker pool
+//! coalesces them into micro-batches — whatever is already queued, from
+//! *any* database, up to a configurable size; a worker never waits for
+//! more — computes them and fills the cache without probing again.
 //! Mixed batches are split per database by the same splitter as
 //! [`FinSql::answer_batch_mixed`], so a worker never stalls waiting for
 //! same-database traffic to accumulate.
@@ -50,7 +50,7 @@ use sqlkit::catalog::CatalogSchema;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The linker's top-k selection for one question: the kept table indices
 /// in rank order, each with its kept column indices in rank order. Two
@@ -337,9 +337,6 @@ fn answer_per_db<'r, Q>(
 pub struct BatchConfig {
     /// Most questions coalesced into one micro-batch.
     pub max_batch: usize,
-    /// How long a worker holds an underfull batch open waiting for more
-    /// requests before flushing it.
-    pub flush: Duration,
     /// Worker threads draining the queue.
     pub workers: usize,
     /// Bounded queue capacity for cache misses. While the queue is full,
@@ -351,12 +348,7 @@ pub struct BatchConfig {
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig {
-            max_batch: 8,
-            flush: Duration::from_millis(2),
-            workers: 2,
-            queue_cap: 256,
-        }
+        BatchConfig { max_batch: 8, workers: 2, queue_cap: 256 }
     }
 }
 
@@ -482,10 +474,8 @@ struct Request {
     db: DbId,
     question: Arc<str>,
     slot: Arc<ResponseSlot>,
-    /// When the request entered the queue. The flush deadline of the
-    /// batch this request opens is anchored here, not at worker pop —
-    /// otherwise time spent waiting in the queue silently extends the
-    /// flush window.
+    /// When the request entered the queue: the start of its recorded
+    /// answer latency (queue wait + compute).
     enqueued: Instant,
 }
 
@@ -523,10 +513,12 @@ struct Shared {
 /// one) on the submitting thread, exactly once. A hit is answered there:
 /// its [`Ticket`] already holds the answer, no queue slot is used and no
 /// worker wakes. A miss is pushed onto one bounded queue; workers pop a
-/// request, then coalesce further requests — from *any* database — into
-/// a micro-batch, up to [`BatchConfig::max_batch`], holding an underfull
-/// batch open for at most [`BatchConfig::flush`], answer it per database
-/// through the batched engine and fill the cache. Because batching
+/// request, take whatever else is already queued — from *any* database —
+/// up to [`BatchConfig::max_batch`], and run that micro-batch at once:
+/// they never hold a batch open waiting for more, so an idle server
+/// answers a lone miss immediately and batches fill by themselves from
+/// the backlog under load. Each batch is answered per database through
+/// the batched engine, which fills the cache. Because batching
 /// cannot change an answer (module docs), coalescing is invisible to
 /// callers: every request gets exactly the answer a lone
 /// [`FinSql::answer`] call would have produced.
@@ -553,7 +545,6 @@ impl BatchScheduler {
             max_batch: config.max_batch.max(1),
             workers: config.workers.max(1),
             queue_cap: config.queue_cap.max(1),
-            ..config
         };
         let fingerprint = engine.config_fingerprint();
         let shared = Arc::new(Shared {
@@ -591,29 +582,7 @@ impl BatchScheduler {
         db: DbId,
         question: impl AsRef<str> + Into<Arc<str>>,
     ) -> Result<Ticket, SubmitError> {
-        if let Some(hit) = self.probe(db, question.as_ref()) {
-            return Ok(hit);
-        }
-        let slot = Arc::new(ResponseSlot::default());
-        {
-            // INVARIANT: a poisoned queue lock means a worker panicked
-            // holding it; the queue state is unrecoverable, so propagate.
-            let mut state = self.shared.queue.state.lock().expect("queue lock poisoned");
-            if state.shutdown {
-                return Err(SubmitError::ShuttingDown);
-            }
-            if state.items.len() >= self.shared.config.queue_cap {
-                return Err(SubmitError::QueueFull);
-            }
-            state.items.push_back(Request {
-                db,
-                question: question.into(),
-                slot: Arc::clone(&slot),
-                enqueued: Instant::now(),
-            });
-        }
-        self.shared.queue.not_empty.notify_one();
-        Ok(Ticket { slot: TicketSlot::Queued(slot) })
+        self.enqueue(db, question, false)
     }
 
     /// Submits one question; a cache hit is answered at once, as in
@@ -624,6 +593,20 @@ impl BatchScheduler {
         &self,
         db: DbId,
         question: impl AsRef<str> + Into<Arc<str>>,
+    ) -> Result<Ticket, SubmitError> {
+        self.enqueue(db, question, true)
+    }
+
+    /// The one submit path behind [`BatchScheduler::try_submit`] and
+    /// [`BatchScheduler::submit`]: probe the cache, then push a miss onto
+    /// the queue. They differ only at a full queue, which refuses with
+    /// [`SubmitError::QueueFull`] unless `block_when_full`, in which case
+    /// the caller waits for a worker to pop.
+    fn enqueue(
+        &self,
+        db: DbId,
+        question: impl AsRef<str> + Into<Arc<str>>,
+        block_when_full: bool,
     ) -> Result<Ticket, SubmitError> {
         if let Some(hit) = self.probe(db, question.as_ref()) {
             return Ok(hit);
@@ -640,7 +623,12 @@ impl BatchScheduler {
                 if state.items.len() < self.shared.config.queue_cap {
                     break;
                 }
+                if !block_when_full {
+                    return Err(SubmitError::QueueFull);
+                }
                 // INVARIANT: poisoning, as above — propagate the panic.
+                // finlint: blocking — reached only with `block_when_full`,
+                // which `try_submit` (the driver's path) never sets.
                 state = self.shared.queue.not_full.wait(state).expect("queue lock poisoned");
             }
             state.items.push_back(Request {
@@ -721,64 +709,30 @@ impl Drop for BatchScheduler {
     }
 }
 
-/// One worker: pop a request, coalesce followers from any database up to
-/// the batch cap or the flush deadline, answer the mixed batch, fill the
-/// cache and the slots. On shutdown the queue is drained completely before the worker
-/// exits, so no submitted request is ever dropped.
+/// One worker: pop a request, take whatever else is already queued (any
+/// database, up to the batch cap) and answer that batch at once, filling
+/// the cache and the slots. It never waits for more requests while it
+/// holds one. On shutdown the queue is drained completely before the
+/// worker exits, so no submitted request is ever dropped.
 fn worker_loop(shared: &Shared) {
     loop {
-        let first = {
+        let batch: Vec<Request> = {
             // INVARIANT: a poisoned queue lock means a sibling panicked
             // holding it; the queue state is unrecoverable, so propagate.
             let mut state = shared.queue.state.lock().expect("queue lock poisoned");
-            loop {
-                if let Some(request) = state.items.pop_front() {
-                    shared.queue.not_full.notify_all();
-                    break request;
-                }
+            while state.items.is_empty() {
                 if state.shutdown {
                     return;
                 }
                 // INVARIANT: poisoning, as above — propagate the panic.
                 state = shared.queue.not_empty.wait(state).expect("queue lock poisoned");
             }
+            // One batch Vec per micro-batch, amortised over up to
+            // max_batch requests.
+            let take = state.items.len().min(shared.config.max_batch);
+            state.items.drain(..take).collect()
         };
-        // The flush window is anchored to when the batch's first request
-        // was *enqueued*, not to when this worker got around to popping
-        // it: a request that already waited its window in the queue is
-        // flushed immediately instead of waiting a second full window,
-        // and every request is answered at most `flush` after arrival
-        // (plus compute) regardless of worker scheduling.
-        let deadline = first.enqueued + shared.config.flush;
-        // finlint: alloc — one batch Vec per flush window, amortised
-        // over up to max_batch requests.
-        let mut batch = vec![first];
-        {
-            // INVARIANT: a poisoned queue lock means a sibling panicked
-            // holding it; the queue state is unrecoverable, so propagate.
-            let mut state = shared.queue.state.lock().expect("queue lock poisoned");
-            while batch.len() < shared.config.max_batch {
-                if let Some(request) = state.items.pop_front() {
-                    batch.push(request);
-                    shared.queue.not_full.notify_all();
-                    continue;
-                }
-                if state.shutdown {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _timeout) = shared
-                    .queue
-                    .not_empty
-                    .wait_timeout(state, deadline - now)
-                    // INVARIANT: poisoning, as above — propagate the panic.
-                    .expect("queue lock poisoned");
-                state = guard;
-            }
-        }
+        shared.queue.not_full.notify_all();
         // Clone the interned question Arcs (refcount bumps): passing the
         // `Arc<str>` keys through the fill lets a cache insert share the
         // submitted allocation instead of copying the bytes.
@@ -793,8 +747,8 @@ fn worker_loop(shared: &Shared) {
         });
         for (request, answer) in batch.iter().zip(answers) {
             if let Some(m) = metrics {
-                // Scheduler-path latency of a miss: queue wait + batching
-                // window + compute, anchored at enqueue time.
+                // Scheduler-path latency of a miss: queue wait + compute,
+                // anchored at enqueue time.
                 m.record_answer_latency(request.enqueued.elapsed());
             }
             request.slot.put(answer);

@@ -12,6 +12,8 @@
 //! * A cache hit is answered at submit: its ticket is ready before any
 //!   worker could have run, and each request probes the cache exactly
 //!   once whether it hits or misses.
+//! * Misses that queue up while the one worker is computing are taken
+//!   together as one micro-batch, and batching changes no answer.
 
 use bull::{DbId, Lang};
 use finsql_core::batch::{BatchConfig, BatchScheduler, SubmitError, Ticket};
@@ -19,7 +21,6 @@ use finsql_core::cache::{AnswerCache, Answerer};
 use finsql_core::metrics::EvalMetrics;
 use finsql_core::pipeline::{FinSql, FinSqlConfig};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 /// One engine for every test in this file — building it trains the full
 /// pipeline, so share it instead of paying that per test.
@@ -54,7 +55,6 @@ fn try_submit_sheds_load_when_the_queue_is_full() {
         None,
         BatchConfig {
             max_batch: 1,
-            flush: Duration::from_micros(1),
             workers: 1,
             queue_cap: 1,
         },
@@ -92,7 +92,6 @@ fn shutdown_drains_queued_requests_and_refuses_stragglers() {
         None,
         BatchConfig {
             max_batch: 4,
-            flush: Duration::from_millis(50),
             workers: 2,
             queue_cap: 64,
         },
@@ -107,8 +106,8 @@ fn shutdown_drains_queued_requests_and_refuses_stragglers() {
                 .expect("queue of 64 cannot be full")
         })
         .collect();
-    // Shut down with the flush window still open: the queued requests
-    // are in flight, not yet answered.
+    // Shut down right after queueing: the requests are still queued or
+    // being computed, not yet answered.
     scheduler.shutdown();
     // Post-shutdown submissions are refused on both paths…
     assert_eq!(
@@ -138,7 +137,6 @@ fn ticket_polling_delivers_the_answer_exactly_once() {
         None,
         BatchConfig {
             max_batch: 2,
-            flush: Duration::from_micros(100),
             workers: 1,
             queue_cap: 8,
         },
@@ -164,14 +162,14 @@ fn a_cache_hit_is_ready_at_submit() {
     let question = "which fund has the largest total net assets";
     // Warm the cache through the batched engine, outside the scheduler.
     engine.answer_batch_cached(&cache, DbId::Fund, &[question], None);
-    // A 10 s flush window: a hit that took the queue would sit there.
+    // A hit that took the queue would not be answered before a worker
+    // ran; a hit's ticket holds its answer at submit.
     let scheduler = BatchScheduler::new(
         Arc::clone(&engine),
         Some(Arc::clone(&cache)),
         None,
         BatchConfig {
             max_batch: 8,
-            flush: Duration::from_secs(10),
             workers: 1,
             queue_cap: 8,
         },
@@ -198,7 +196,6 @@ fn every_submission_probes_the_cache_exactly_once() {
         Some(Arc::clone(&metrics)),
         BatchConfig {
             max_batch: 4,
-            flush: Duration::from_millis(1),
             workers: 2,
             queue_cap: 16,
         },
@@ -223,4 +220,36 @@ fn every_submission_probes_the_cache_exactly_once() {
     assert_eq!((stats.hits, stats.misses), (3, 6));
     let snap = metrics.snapshot();
     assert_eq!((snap.cache_hits, snap.cache_misses), (3, 6));
+}
+
+#[test]
+fn misses_queued_behind_a_busy_worker_coalesce_into_one_batch() {
+    let engine = engine();
+    let metrics = Arc::new(EvalMetrics::new());
+    let scheduler = BatchScheduler::new(
+        Arc::clone(&engine),
+        None,
+        Some(Arc::clone(&metrics)),
+        BatchConfig { max_batch: 8, workers: 1, queue_cap: 64 },
+    );
+    let q = |i: usize| format!("what is the total net asset value of fund family {i}");
+    // The lone worker pops the first miss and computes it (hundreds of
+    // microseconds); the followers are queued in a fraction of that, so
+    // the worker's next pop takes them as one batch. Every batch would
+    // hold one miss only if this thread stalled for a whole compute
+    // before each of the 15 followers.
+    let tickets: Vec<(usize, Ticket)> = (0..16)
+        .map(|i| (i, scheduler.try_submit(DbId::Fund, q(i)).expect("queue of 64")))
+        .collect();
+    for (i, ticket) in tickets {
+        assert_eq!(&*ticket.wait(), reference(&engine, DbId::Fund, &q(i)));
+    }
+    let snap = metrics.snapshot();
+    assert!(
+        snap.max_batch > 1,
+        "misses queued behind a busy worker must share a batch: {} batches, max {}",
+        snap.batches,
+        snap.max_batch
+    );
+    assert_eq!(snap.batched_questions, 16);
 }

@@ -7,7 +7,7 @@
 //! ```text
 //! finsqld [--addr 127.0.0.1:4150] [--budget 256] [--cache-cap 0]
 //!         [--cache-policy slru-tinylfu|lru] [--workers 2] [--batch 8]
-//!         [--flush-us 2000] [--queue-cap 256]
+//!         [--queue-cap 256]
 //! ```
 
 use bull::Lang;
@@ -17,7 +17,6 @@ use finsql_core::pipeline::{FinSql, FinSqlConfig};
 use finsql_serve::{ServeConfig, Server};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
 
 struct Opts {
     addr: String,
@@ -26,28 +25,27 @@ struct Opts {
     cache_policy: CachePolicy,
     workers: usize,
     batch: usize,
-    flush_us: u64,
     queue_cap: usize,
 }
 
 impl Default for Opts {
+    /// The budget and scheduler knobs default to [`ServeConfig::default`].
     fn default() -> Self {
+        let serve = ServeConfig::default();
         Opts {
             addr: "127.0.0.1:4150".to_string(),
-            budget: 256,
+            budget: serve.max_in_flight,
             cache_cap: 0,
             cache_policy: CachePolicy::default(),
-            workers: 2,
-            batch: 8,
-            flush_us: 2000,
-            queue_cap: 256,
+            workers: serve.batch.workers,
+            batch: serve.batch.max_batch,
+            queue_cap: serve.batch.queue_cap,
         }
     }
 }
 
 const USAGE: &str = "usage: finsqld [--addr A] [--budget N] [--cache-cap N] \
-                     [--cache-policy P] [--workers N] [--batch N] [--flush-us N] \
-                     [--queue-cap N]";
+                     [--cache-policy P] [--workers N] [--batch N] [--queue-cap N]";
 
 /// `Ok(None)` means `--help` was asked: print usage and exit 0.
 fn parse_opts(args: &[String]) -> Result<Option<Opts>, String> {
@@ -83,11 +81,6 @@ fn parse_opts(args: &[String]) -> Result<Option<Opts>, String> {
                 opts.batch =
                     value("--batch")?.parse().map_err(|e| format!("--batch: {e}"))?
             }
-            "--flush-us" => {
-                opts.flush_us = value("--flush-us")?
-                    .parse()
-                    .map_err(|e| format!("--flush-us: {e}"))?
-            }
             "--queue-cap" => {
                 opts.queue_cap = value("--queue-cap")?
                     .parse()
@@ -116,13 +109,13 @@ fn run() -> Result<(), String> {
     ));
     let cache = Arc::new(AnswerCache::with_policy(opts.cache_cap, opts.cache_policy));
 
+    // `BatchScheduler::new` clamps the batch knobs to at least 1.
     let config = ServeConfig {
         max_in_flight: opts.budget.max(1),
         batch: BatchConfig {
-            max_batch: opts.batch.max(1),
-            flush: Duration::from_micros(opts.flush_us),
-            workers: opts.workers.max(1),
-            queue_cap: opts.queue_cap.max(1),
+            max_batch: opts.batch,
+            workers: opts.workers,
+            queue_cap: opts.queue_cap,
         },
         ..ServeConfig::default()
     };
@@ -147,5 +140,21 @@ fn main() {
     if let Err(e) = run() {
         eprintln!("finsqld: {e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn no_flags_give_the_server_defaults() {
+        let opts = parse_opts(&[]).expect("no flags parse").expect("not --help");
+        let serve = ServeConfig::default();
+        assert_eq!(opts.budget, serve.max_in_flight);
+        assert_eq!(
+            (opts.batch, opts.workers, opts.queue_cap),
+            (serve.batch.max_batch, serve.batch.workers, serve.batch.queue_cap)
+        );
     }
 }

@@ -7,10 +7,11 @@
 //! * [`server`] — the `finsqld` driver: a non-blocking readiness loop
 //!   over `std::net` sockets with per-request admission control, feeding
 //!   the existing [`finsql_core::batch::BatchScheduler`]: cache hits are
-//!   answered at submit in the same round, misses wait for a batch, and
-//!   every served answer is byte-identical to the library path.
-//! * [`client`] — a small blocking client used by the smoke/bench
-//!   harnesses and anyone scripting against a running `finsqld`.
+//!   answered at submit in the same round, misses are batched with
+//!   whatever else is queued, and every served answer is byte-identical
+//!   to the library path.
+//! * [`client`] — a small blocking client used by the tests, the bench
+//!   harness and anyone scripting against a running `finsqld`.
 //!
 //! The `finsqld` binary (`src/bin/finsqld.rs`) wraps [`server`] with CLI
 //! flag parsing and engine construction.

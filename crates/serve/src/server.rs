@@ -19,7 +19,9 @@
 //! **Cache hits skip the batch.** [`BatchScheduler::try_submit`] probes
 //! the answer cache on the driver thread. A hit comes back already
 //! answered and its `Ok` response is queued in the same round, with no
-//! [`Pending`] entry; only misses wait for a micro-batch and are polled.
+//! [`Pending`] entry. Only misses are queued and polled: a scheduler
+//! worker takes each one together with whatever else is already queued
+//! and computes that micro-batch at once, never waiting for more.
 //!
 //! **Byte identity.** Hits and misses alike are answered by the
 //! scheduler: a hit is the cached answer the batched engine computed for
